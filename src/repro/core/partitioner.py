@@ -12,9 +12,10 @@ Two execution paths share every algorithm kernel (DESIGN.md §5):
 
 The cluster path runs on a pluggable execution engine
 (:mod:`repro.engine`): ``sequential`` (deterministic token-passing),
-``sim`` (threads + cost model; its makespan is the simulated parallel
-runtime used by the Figure 3 reproduction) or ``process`` (one OS
-process per PE for real wall-clock parallelism).  All engines produce
+``threads`` (one thread per PE over shared memory), ``sim`` (the threads
+engine plus a cost model; its makespan is the simulated parallel runtime
+used by the Figure 3 reproduction) or ``process`` (one OS process per PE
+for real wall-clock parallelism).  All engines produce
 bit-identical partitions for the same master seed.
 """
 
@@ -117,8 +118,8 @@ class KappaPartitioner:
         checking is controlled by ``config.check_invariants``.
 
         ``engine`` selects the runtime for the cluster path
-        ("sequential" | "sim" | "process"), overriding ``config.engine``;
-        it is ignored by ``execution="sequential"``.
+        ("sequential" | "sim" | "process" | "threads"), overriding
+        ``config.engine``; it is ignored by ``execution="sequential"``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")

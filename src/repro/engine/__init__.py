@@ -8,8 +8,9 @@ base.Engine` decides *how* the ``p`` virtual PEs actually execute:
     Token-passing cooperative scheduling — one PE at a time, a schedule
     that depends only on the program.  Structural deadlock detection.
 ``sim``
-    One thread per PE plus a LogP-style cost model; reports simulated
-    parallel time (``makespan``).  The paper-reproduction default.
+    The threads engine plus a LogP-style cost-model clock; reports
+    simulated parallel time (``makespan``).  The paper-reproduction
+    default.
 ``process``
     One OS process per PE, shared-memory graph, pickle-free message
     pipes.  Real wall-clock parallelism on multi-core hosts.

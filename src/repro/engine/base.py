@@ -17,9 +17,10 @@ the *protocol* without pulling in any particular runtime:
   (makespan, per-PE phase timers, message/byte counts).
 
 Concrete engines live in sibling modules: sequential (deterministic
-cooperative scheduling on one thread), sim (threads + the simulated-time
-cost model) and process (one OS process per PE).  This module must not
-import any of them — it is the dependency floor of the engine layer.
+cooperative scheduling on one thread), threads (one thread per PE over
+shared memory), sim (the threads engine plus the simulated-time cost
+model) and process (one OS process per PE).  This module must not import
+any of them — it is the dependency floor of the engine layer.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class EngineResult:
 
     ``makespan`` is engine-specific: simulated seconds for the sim
     engine (the Figure 3 quantity), wall-clock seconds of the slowest PE
-    for the process engine, and ``None`` for the sequential engine
+    for the process and threads engines, and ``None`` for the sequential
+    engine
     (whose execution is serialised, so a per-PE makespan is meaningless).
     ``phase_times`` holds one ``{phase: seconds}`` dict per PE, filled by
     ``comm.timed(...)`` blocks inside the SPMD program and aggregated
@@ -288,7 +290,7 @@ class CommBase:
     def allreduce(self, value: Any,
                   op: Optional[Callable[[Any, Any], Any]] = None) -> Any:
         """All-reduce with a binary ``op`` (default: addition), folded in
-        rank order on every PE — the same fold as the simulated comm, so
+        rank order on every PE — every engine inherits this fold, so
         non-associative ops cannot diverge between engines."""
         vals = self._exchange_recorded(value)
         acc = vals[0]
@@ -322,8 +324,7 @@ class CommBase:
         breaks the symmetry so engines with bounded channel buffers
         cannot deadlock on large payloads — and fixes the send/recv hook
         order per rank, so the causal event log (trace schema /3) is
-        identical on every engine.  The sim Comm implements the same
-        rank-ordered protocol."""
+        identical on every engine."""
         if peer == self.rank:
             raise ValueError("sendrecv with self")
         if self.rank < peer:
@@ -342,7 +343,7 @@ class Engine(ABC):
     cheap to construct; all heavy lifting happens in :meth:`run`.
     """
 
-    #: registry key ("sequential" | "sim" | "process")
+    #: registry key ("sequential" | "sim" | "process" | "threads")
     name: str = "abstract"
 
     def __init__(self, p: int, recv_timeout_s: Optional[float] = None) -> None:

@@ -12,7 +12,7 @@ the deterministic default for debugging SPMD phases.
 Because the scheduler knows every PE's blocking state, deadlocks are
 detected *structurally* (no runnable PE left) and reported immediately
 with a per-PE diagnostic of which operation each stuck PE is waiting on —
-no timeout needed, unlike the thread-based simulated engine.
+no timeout needed, unlike the threads and sim engines.
 
 Threads are used as coroutine carriers only; the token discipline means
 there is no concurrency and no data race by construction.

@@ -1,16 +1,12 @@
 """Threads engine: one worker thread per virtual PE over shared memory.
 
-The simulated engine also runs threads, but spends its cycles on the
-LogP cost model (every message is sized with ``payload_nbytes`` twice,
-every collective crosses two pre-sized barriers).  This engine is the
-raw-speed sibling: no cost model, no wire codec, no process forking —
-one Python thread per PE communicating through in-process queues, with
+One Python thread per PE communicating through in-process queues, with
 the input CSR graph placed in a :class:`~repro.engine.shm.SharedGraph`
 block and mapped as a zero-copy view by every PE, exactly the layout the
-process engine's workers see.  Where the interpreter releases the GIL
-(numpy kernels, a JIT'd ``nogil`` kernel backend, ``time.sleep``) the
-PEs run truly concurrently; on a single core the engine still wins over
-sim by skipping the model entirely.
+process engine's workers see.  No wire codec, no process forking.  Where
+the interpreter releases the GIL (numpy kernels, a JIT'd ``nogil`` kernel
+backend, ``time.sleep``) the PEs run truly concurrently.  The sim engine
+(:mod:`repro.engine.simulated`) is this engine plus a cost-model clock.
 
 Three design points keep it bit-identical to the other engines:
 
@@ -191,6 +187,9 @@ class _ThreadsShared:
 class ThreadsComm(CommBase):
     """Communicator of one PE thread (in-process FIFOs, no cost model)."""
 
+    #: engine name quoted in deadlock diagnostics
+    _engine = "threads"
+
     def __init__(self, rank: int, shared: _ThreadsShared,
                  policy: Optional[ResiliencePolicy] = None) -> None:
         super().__init__()
@@ -230,7 +229,7 @@ class ThreadsComm(CommBase):
                     if time.monotonic() >= deadline:
                         raise DeadlockError(
                             f"PE {self.rank}: {info} timed out after "
-                            f"{sh.recv_timeout_s:g}s (engine=threads)"
+                            f"{sh.recv_timeout_s:g}s (engine={self._engine})"
                         )
                     sh.cv.wait(_STEAL_POLL_S)
 
@@ -244,14 +243,24 @@ class ThreadsComm(CommBase):
         if injector is not None and injector.active:
             sleep_s, _copies = injector.plan_send()
             injector.apply_send_latency(sleep_s)
-        self.bytes_sent += payload_nbytes(obj)
+        nbytes = payload_nbytes(obj)
+        self.bytes_sent += nbytes
         self.messages_sent += 1
         if self.obs is not None:
             self.obs.on_send(self.rank, dest, tag, obj)
+        item = self._seal(obj, nbytes)
         sh = self.shared
         with sh.cv:
-            sh.mail.setdefault((self.rank, dest, tag), deque()).append(obj)
+            sh.mail.setdefault((self.rank, dest, tag), deque()).append(item)
             sh.cv.notify_all()
+
+    def _seal(self, obj: Any, nbytes: int) -> Any:
+        """What ``send`` puts in the mailbox (hook for the sim clock)."""
+        return obj
+
+    def _open(self, item: Any) -> Any:
+        """Inverse of :meth:`_seal`, applied by ``recv``."""
+        return item
 
     def recv(self, source: int, tag: int = 0,
              timeout: Optional[float] = None) -> Any:
@@ -278,7 +287,7 @@ class ThreadsComm(CommBase):
             )
             raise DeadlockError(
                 f"PE {self.rank}: recv(source={source}, tag={tag}) timed "
-                f"out after {timeout:g}s (engine=threads){detail}"
+                f"out after {timeout:g}s (engine={self._engine}){detail}"
             ) from None
         with sh.cv:
             # exactly one hook firing per successful user recv (stolen
@@ -287,14 +296,15 @@ class ThreadsComm(CommBase):
             if obs is not None:
                 obs.on_recv_wait(source, self.rank, tag,
                                  time.perf_counter() - t0)
-            return q.popleft()
+            item = q.popleft()
+        return self._open(item)
 
     # -- collectives ----------------------------------------------------
     def _exchange(self, value: Any) -> List[Any]:
         """Rendezvous over round-numbered slot records.  Keying rounds by
         a per-PE counter (identical across PEs — collectives are globally
         ordered in an SPMD program) lets consecutive collectives coexist
-        without the sim engine's double barrier."""
+        without a second barrier."""
         sh = self.shared
         rid = self._round
         self._round += 1
@@ -346,7 +356,7 @@ class ThreadsComm(CommBase):
                         raise DeadlockError(
                             f"PE {self.rank}: map_batch of {len(fns)} tasks "
                             f"timed out after {sh.recv_timeout_s:g}s "
-                            f"(engine=threads; {batch.done} completed)"
+                            f"(engine={self._engine}; {batch.done} completed)"
                         )
                     pool.cv.wait(_STEAL_POLL_S)
         finally:
@@ -373,11 +383,18 @@ class ThreadsEngine(Engine):
         super().__init__(p, recv_timeout_s)
         self.resilience = resilience
 
+    def _comm(self, rank: int, shared: _ThreadsShared) -> ThreadsComm:
+        return ThreadsComm(rank, shared, self.resilience)
+
+    def _clocks(self, comms: List[ThreadsComm],
+                walls: List[float]) -> List[float]:
+        """Per-PE clocks reported in the result: wall seconds here."""
+        return list(walls)
+
     def run(self, fn: Callable[..., Any], *args: Any,
             **kwargs: Any) -> EngineResult:
         shared = _ThreadsShared(self.p, self.recv_timeout_s)
-        comms = [ThreadsComm(r, shared, self.resilience)
-                 for r in range(self.p)]
+        comms = [self._comm(r, shared) for r in range(self.p)]
 
         # Place every Graph argument in shared memory once and hand all
         # PEs the same zero-copy CSR view — the process engine's layout,
@@ -404,6 +421,11 @@ class ThreadsEngine(Engine):
                 results[rank] = fn(comms[rank], *args, **kwargs)
             except _Aborted:
                 pass
+            except DeadlockError as exc:
+                # no abort: peers stuck in the same hang time out on their
+                # own, so the report names the lowest blocked rank rather
+                # than whichever PE's timer fired first
+                errors[rank] = exc
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[rank] = exc
                 shared.abort(exc)
@@ -431,10 +453,11 @@ class ThreadsEngine(Engine):
                 raise err
         if shared.failure is not None:  # pragma: no cover - defensive
             raise shared.failure
+        clocks = self._clocks(comms, walls)
         return EngineResult(
             results=results,
-            makespan=max(walls),        # wall clock of the slowest PE
-            clocks=list(walls),
+            makespan=max(clocks),
+            clocks=clocks,
             bytes_sent=sum(c.bytes_sent for c in comms),
             messages_sent=sum(c.messages_sent for c in comms),
             phase_times=[dict(c.phase_times) for c in comms],

@@ -1,7 +1,6 @@
-"""Simulated message-passing cluster: virtual PEs, cost model, and the
+"""The LogP machine cost model behind the sim engine, and the
 distributed quotient-graph edge coloring."""
 
-from .comm import Clock, Comm, SimCluster, ClusterResult, run_spmd, DeadlockError
 from .costmodel import MachineModel, DEFAULT_MACHINE, payload_nbytes
 from .coloring import (
     greedy_edge_coloring,
@@ -12,12 +11,6 @@ from .coloring import (
 )
 
 __all__ = [
-    "Clock",
-    "Comm",
-    "SimCluster",
-    "ClusterResult",
-    "run_spmd",
-    "DeadlockError",
     "MachineModel",
     "DEFAULT_MACHINE",
     "payload_nbytes",

@@ -1,4 +1,4 @@
-"""Machine cost model for the simulated cluster.
+"""Machine cost model for the sim engine's simulated cluster.
 
 The original KaPPa ran on a 200-node InfiniBand 4X DDR cluster: point-to-
 point latency below 2 µs and > 1300 MB/s bandwidth (paper Section 6,

@@ -117,6 +117,21 @@ class TestClusterPipeline:
         assert np.array_equal(a.partition.part, b.partition.part)
         assert a.sim_time_s == b.sim_time_s
 
+    @pytest.mark.parametrize("family,k,expected", [
+        ("delaunay", 2, "0x1.f3f725f0adc5ep-9"),
+        ("delaunay", 4, "0x1.ad3fd7792d15cp-8"),
+        ("rgg", 2, "0x1.3fc3573721c81p-9"),
+        ("rgg", 4, "0x1.27ab0930f3f2bp-8"),
+    ])
+    def test_sim_clock_golden(self, family, k, expected):
+        """Simulated makespans are bit-exact: Figure 3 plots them, so any
+        change to the cost-model clock must show up here."""
+        gen = {"delaunay": delaunay_graph,
+               "rgg": random_geometric_graph}[family]
+        res = partition_graph(gen(2000, seed=3), k, config=FAST, seed=1,
+                              execution="cluster", engine="sim")
+        assert res.sim_time_s.hex() == expected
+
     def test_cluster_quality_comparable_to_sequential(self):
         g = delaunay_graph(400, seed=9)
         seq = KappaPartitioner(FAST).partition(g, 4, seed=0)

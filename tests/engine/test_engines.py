@@ -156,14 +156,17 @@ class TestDeadlockDiagnostics:
         for rank in range(3):
             assert f"PE {rank}" in message
 
-    def test_sequential_mismatched_collectives(self):
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_mismatched_collectives(self, engine):
         def program(comm):
             if comm.rank == 0:
                 comm.barrier()
             # rank 1 returns without the barrier
 
-        with pytest.raises(DeadlockError):
-            get_engine("sequential", 2).run(program)
+        eng = get_engine(engine, 2, recv_timeout_s=FAST_TIMEOUT)
+        with pytest.raises(DeadlockError) as exc_info:
+            eng.run(program)
+        assert "PE 0" in str(exc_info.value)  # names the stuck PE
 
 
 class TestErrorPropagation:
@@ -175,12 +178,21 @@ class TestErrorPropagation:
             comm.barrier()
 
         eng = get_engine(engine, 2, recv_timeout_s=FAST_TIMEOUT)
-        with pytest.raises((ValueError, DeadlockError)) as exc_info:
+        with pytest.raises(ValueError, match="boom on rank 1"):
             eng.run(program)
-        # the original error must win on engines that can attribute it
-        if engine != "sim":
-            assert isinstance(exc_info.value, ValueError)
-            assert "boom on rank 1" in str(exc_info.value)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_worker_exception_wins_over_blocked_recv(self, engine):
+        """A peer blocked in ``recv`` on the failed rank must not turn
+        the real error into its own timeout."""
+        def program(comm):
+            if comm.rank == 1:
+                raise ValueError("boom on rank 1")
+            comm.recv(1, tag=3)
+
+        eng = get_engine(engine, 2, recv_timeout_s=FAST_TIMEOUT)
+        with pytest.raises(ValueError, match="boom on rank 1"):
+            eng.run(program)
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_bad_destination(self, engine):
@@ -230,7 +242,7 @@ class TestTimeoutConfiguration:
             else:
                 comm.barrier()
 
-        for engine in ("process", "sim"):
+        for engine in ("process", "sim", "threads"):
             with pytest.raises(DeadlockError) as exc_info:
                 get_engine(engine, 2, recv_timeout_s=1.0).run(program)
             message = str(exc_info.value)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    DeadlockError,
-    MachineModel,
-    SimCluster,
-    payload_nbytes,
-    run_spmd,
-)
+from repro.engine import DeadlockError, get_engine
+from repro.parallel import MachineModel, payload_nbytes
 
 
 class TestPointToPoint:
@@ -18,7 +13,7 @@ class TestPointToPoint:
                 return None
             return comm.recv(source=0)
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.results[1] == {"x": 1}
 
     def test_fifo_per_channel(self):
@@ -29,7 +24,7 @@ class TestPointToPoint:
                 return None
             return [comm.recv(0) for _ in range(5)]
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.results[1] == [0, 1, 2, 3, 4]
 
     def test_tags_are_independent_channels(self):
@@ -43,7 +38,7 @@ class TestPointToPoint:
             a = comm.recv(0, tag=1)
             return (a, b)
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.results[1] == ("a", "b")
 
     def test_sendrecv_exchange(self):
@@ -51,7 +46,7 @@ class TestPointToPoint:
             peer = 1 - comm.rank
             return comm.sendrecv(comm.rank * 10, peer)
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.results == [10, 0]
 
     def test_recv_timeout_raises_deadlock(self):
@@ -60,14 +55,14 @@ class TestPointToPoint:
                 comm.recv(1, timeout=0.2)
 
         with pytest.raises(DeadlockError):
-            SimCluster(2).run(prog)
+            get_engine("sim", 2).run(prog)
 
     def test_bad_dest(self):
         def prog(comm):
             comm.send(1, dest=5)
 
         with pytest.raises(ValueError):
-            SimCluster(2).run(prog)
+            get_engine("sim", 2).run(prog)
 
     def test_numpy_payload(self):
         def prog(comm):
@@ -76,43 +71,43 @@ class TestPointToPoint:
                 return None
             return comm.recv(0)
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert np.array_equal(res.results[1], np.arange(10))
 
 
 class TestCollectives:
     def test_allreduce_sum(self):
-        res = SimCluster(4).run(lambda c: c.allreduce(c.rank + 1))
+        res = get_engine("sim", 4).run(lambda c: c.allreduce(c.rank + 1))
         assert res.results == [10, 10, 10, 10]
 
     def test_allreduce_custom_op(self):
-        res = SimCluster(4).run(lambda c: c.allreduce(c.rank, op=max))
+        res = get_engine("sim", 4).run(lambda c: c.allreduce(c.rank, op=max))
         assert res.results == [3, 3, 3, 3]
 
     def test_bcast(self):
         def prog(comm):
             return comm.bcast("root-data" if comm.rank == 2 else None, root=2)
 
-        res = SimCluster(3).run(prog)
+        res = get_engine("sim", 3).run(prog)
         assert res.results == ["root-data"] * 3
 
     def test_gather(self):
         def prog(comm):
             return comm.gather(comm.rank**2, root=0)
 
-        res = SimCluster(3).run(prog)
+        res = get_engine("sim", 3).run(prog)
         assert res.results[0] == [0, 1, 4]
         assert res.results[1] is None
 
     def test_allgather(self):
-        res = SimCluster(3).run(lambda c: c.allgather(c.rank))
+        res = get_engine("sim", 3).run(lambda c: c.allgather(c.rank))
         assert res.results == [[0, 1, 2]] * 3
 
     def test_alltoall(self):
         def prog(comm):
             return comm.alltoall([f"{comm.rank}->{d}" for d in range(comm.size)])
 
-        res = SimCluster(3).run(prog)
+        res = get_engine("sim", 3).run(prog)
         assert res.results[1] == ["0->1", "1->1", "2->1"]
 
     def test_alltoall_wrong_length(self):
@@ -120,7 +115,7 @@ class TestCollectives:
             comm.alltoall([1])
 
         with pytest.raises(ValueError):
-            SimCluster(2).run(prog)
+            get_engine("sim", 2).run(prog)
 
     def test_consecutive_collectives(self):
         def prog(comm):
@@ -129,11 +124,11 @@ class TestCollectives:
             comm.barrier()
             return (a, b)
 
-        res = SimCluster(4).run(prog)
+        res = get_engine("sim", 4).run(prog)
         assert res.results == [(4, 8)] * 4
 
     def test_single_pe(self):
-        res = SimCluster(1).run(lambda c: c.allreduce(5))
+        res = get_engine("sim", 1).run(lambda c: c.allreduce(5))
         assert res.results == [5]
 
 
@@ -141,10 +136,10 @@ class TestSimulatedTime:
     def test_compute_advances_clock(self):
         def prog(comm):
             comm.compute(1000)
-            return comm.clock.time
+            return comm.clock
 
         m = MachineModel(work_unit_s=1e-6)
-        res = SimCluster(1, machine=m).run(prog)
+        res = get_engine("sim", 1, machine=m).run(prog)
         assert np.isclose(res.results[0], 1e-3)
         assert np.isclose(res.makespan, 1e-3)
 
@@ -164,11 +159,11 @@ class TestSimulatedTime:
             if comm.rank == 0:
                 comm.compute(5)  # sender busy until t=5
                 comm.send("x", 1)
-                return comm.clock.time
+                return comm.clock
             comm.recv(0)
-            return comm.clock.time
+            return comm.clock
 
-        res = SimCluster(2, machine=m).run(prog)
+        res = get_engine("sim", 2, machine=m).run(prog)
         assert np.isclose(res.results[1], 6.0)  # 5 compute + 1 latency
 
     def test_makespan_is_max(self):
@@ -177,8 +172,9 @@ class TestSimulatedTime:
             return None
 
         m = MachineModel(work_unit_s=1.0)
-        res = SimCluster(3, machine=m).run(prog)
+        res = get_engine("sim", 3, machine=m).run(prog)
         assert np.isclose(res.makespan, 300.0)
+        assert res.clocks == [100.0, 200.0, 300.0]  # simulated, not wall
 
     def test_barrier_syncs_clocks(self):
         m = MachineModel(latency_s=0.0, work_unit_s=1.0)
@@ -186,9 +182,9 @@ class TestSimulatedTime:
         def prog(comm):
             comm.compute(100 * (comm.rank + 1))
             comm.barrier()
-            return comm.clock.time
+            return comm.clock
 
-        res = SimCluster(2, machine=m).run(prog)
+        res = get_engine("sim", 2, machine=m).run(prog)
         assert np.allclose(res.results, [200.0, 200.0])
 
     def test_stats_counted(self):
@@ -199,7 +195,7 @@ class TestSimulatedTime:
             comm.recv(0)
             return None
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.messages_sent == 1
         assert res.bytes_sent == 800
 
@@ -212,11 +208,11 @@ class TestErrors:
             comm.barrier()
 
         with pytest.raises(RuntimeError, match="boom"):
-            SimCluster(2).run(prog)
+            get_engine("sim", 2).run(prog)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            SimCluster(0)
+            get_engine("sim", 0)
 
 
 class TestDeterminism:
@@ -224,7 +220,7 @@ class TestDeterminism:
         def prog(comm):
             return float(comm.derive_rng(42).random())
 
-        res = SimCluster(4).run(prog)
+        res = get_engine("sim", 4).run(prog)
         assert len(set(res.results)) == 4  # distinct streams per PE
 
     def test_repeated_runs_identical(self):
@@ -233,8 +229,8 @@ class TestDeterminism:
             vals = comm.allgather(float(rng.random()))
             return tuple(vals)
 
-        r1 = run_spmd(4, prog)
-        r2 = run_spmd(4, prog)
+        r1 = get_engine("sim", 4).run(prog)
+        r2 = get_engine("sim", 4).run(prog)
         assert r1.results == r2.results
 
 

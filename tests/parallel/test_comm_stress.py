@@ -1,9 +1,10 @@
-"""Stress and concurrency-pattern tests for the simulated cluster."""
+"""Stress and concurrency-pattern tests for the sim engine."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import MachineModel, SimCluster
+from repro.engine import get_engine
+from repro.parallel import MachineModel
 
 
 class TestCommunicationPatterns:
@@ -15,7 +16,7 @@ class TestCommunicationPatterns:
             comm.send(comm.rank, right)
             return comm.recv(left)
 
-        res = SimCluster(6).run(prog)
+        res = get_engine("sim", 6).run(prog)
         assert res.results == [5, 0, 1, 2, 3, 4]
 
     def test_butterfly_allreduce_by_hand(self):
@@ -30,7 +31,7 @@ class TestCommunicationPatterns:
                 dim += 1
             return val
 
-        res = SimCluster(8).run(prog)
+        res = get_engine("sim", 8).run(prog)
         assert res.results == [36] * 8
 
     def test_master_worker(self):
@@ -43,7 +44,7 @@ class TestCommunicationPatterns:
             comm.send(payload * 2, 0, tag=1)
             return None
 
-        res = SimCluster(4).run(prog)
+        res = get_engine("sim", 4).run(prog)
         assert res.results[0] == [20, 40, 60]
 
     def test_many_small_messages(self):
@@ -54,7 +55,7 @@ class TestCommunicationPatterns:
                 return None
             return sum(comm.recv(0) for _ in range(200))
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.results[1] == sum(range(200))
         assert res.messages_sent == 200
 
@@ -67,11 +68,11 @@ class TestCommunicationPatterns:
             comm.barrier()
             return (total, got)
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.results == [(2, 1), (2, 0)]
 
     def test_sixteen_pes(self):
-        res = SimCluster(16).run(lambda c: c.allreduce(c.rank))
+        res = get_engine("sim", 16).run(lambda c: c.allreduce(c.rank))
         assert res.results[0] == sum(range(16))
 
 
@@ -80,16 +81,16 @@ class TestClockSemantics:
         m = MachineModel(latency_s=1.0, byte_time_s=0.0, work_unit_s=1.0)
 
         def prog(comm):
-            stamps = [comm.clock.time]
+            stamps = [comm.clock]
             comm.compute(10)
-            stamps.append(comm.clock.time)
+            stamps.append(comm.clock)
             comm.barrier()
-            stamps.append(comm.clock.time)
+            stamps.append(comm.clock)
             x = comm.allreduce(comm.rank)
-            stamps.append(comm.clock.time)
+            stamps.append(comm.clock)
             return stamps
 
-        res = SimCluster(4, machine=m).run(prog)
+        res = get_engine("sim", 4, machine=m).run(prog)
         for stamps in res.results:
             assert stamps == sorted(stamps)
 
@@ -104,13 +105,13 @@ class TestClockSemantics:
             if comm.rank < comm.size - 1:
                 comm.send("go", comm.rank + 1)
 
-        res = SimCluster(3, machine=m).run(prog)
+        res = get_engine("sim", 3, machine=m).run(prog)
         # critical path: 3 * 10 compute + 2 latencies
         assert res.makespan >= 32.0 - 1e-9
 
     def test_collective_cost_grows_with_p(self):
         def timed(p):
-            res = SimCluster(p).run(lambda c: c.barrier())
+            res = get_engine("sim", p).run(lambda c: c.barrier())
             return res.makespan
 
         assert timed(16) > timed(2)
